@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test dev bench ci clean
+.PHONY: all build test dev bench ci clean loc
 
 all: build
 
@@ -18,6 +18,11 @@ dev: build test
 
 bench:
 	dune exec bench/main.exe
+
+# Lines of library code (.ml + .mli under lib/), the size tracker of
+# ROADMAP aim 2.
+loc:
+	@find lib -name '*.ml' -o -name '*.mli' | xargs cat | wc -l
 
 # What .github/workflows/ci.yml runs: build with warnings as errors,
 # every test suite twice — serial and with a 4-domain default pool

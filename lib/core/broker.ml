@@ -391,7 +391,7 @@ let run_sharded ?checkpoints ?(record_rounds = false) ?journal ?(mode = Exact)
       (match mode with
       | Exact -> replay mech 0 rounds
       | Warm_start { stride } ->
-          let snaps = Array.make shards (Mechanism.snapshot mech) in
+          let snaps = Array.make shards (Mechanism.snapshot_binary mech) in
           (* Skeleton pass: walk the stream once on the caller's
              mechanism, observing every [stride]-th round, and snapshot
              the state at each shard boundary.  Rounds past the last
@@ -400,7 +400,7 @@ let run_sharded ?checkpoints ?(record_rounds = false) ?journal ?(mode = Exact)
           let next_shard = ref 1 in
           for t = 0 to skeleton_end - 1 do
             while !next_shard < shards && bounds.(!next_shard) = t do
-              snaps.(!next_shard) <- Mechanism.snapshot mech;
+              snaps.(!next_shard) <- Mechanism.snapshot_binary mech;
               incr next_shard
             done;
             if t mod stride = 0 then begin
@@ -416,7 +416,7 @@ let run_sharded ?checkpoints ?(record_rounds = false) ?journal ?(mode = Exact)
             end
           done;
           while !next_shard < shards do
-            snaps.(!next_shard) <- Mechanism.snapshot mech;
+            snaps.(!next_shard) <- Mechanism.snapshot_binary mech;
             incr next_shard
           done;
           pfor ~chunk:1 shards (fun klo khi ->

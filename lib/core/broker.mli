@@ -133,8 +133,9 @@ type shard_mode =
   | Warm_start of { stride : int }
       (** A sequential skeleton pass observes only every [stride]-th
           round and snapshots the mechanism at each shard boundary
-          ({!Mechanism.snapshot}); every shard then replays its full
-          range in parallel from the restored boundary state.  Shard 0
+          ({!Mechanism.snapshot_binary}, which restores field for
+          field); every shard then replays its full range in parallel
+          from the restored boundary state.  Shard 0
           (and every shard at [stride = 1], where the skeleton is the
           full walk) reproduces {!run} exactly; later shards drift by
           whatever the skeleton's skipped observations would have

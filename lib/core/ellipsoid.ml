@@ -314,109 +314,6 @@ let axis_widths t =
     (fun l -> sqrt (Float.max 0. (t.scale *. l)))
     (Eigen.eigenvalues t.shape)
 
-let serialize t =
-  let buf = Buffer.create (64 + (t.dim * (t.dim + 1) * 24)) in
-  (* Scale-1 ellipsoids keep the v1 format byte-for-byte; a pending
-     scalar upgrades the snapshot to v2 with one extra scale line. *)
-  let v2 = t.scale <> 1. in
-  Buffer.add_string buf (if v2 then "ellipsoid/2\n" else "ellipsoid/1\n");
-  Buffer.add_string buf (string_of_int t.dim);
-  Buffer.add_char buf '\n';
-  if v2 then begin
-    (* %h prints an exact hexadecimal literal that float_of_string
-       parses back bit-for-bit. *)
-    Buffer.add_string buf (Printf.sprintf "%h" t.scale);
-    Buffer.add_char buf '\n'
-  end;
-  let add_float x = Buffer.add_string buf (Printf.sprintf "%h " x) in
-  Array.iter add_float t.center;
-  Buffer.add_char buf '\n';
-  (* The flat row-major backing array streams rows straight into the
-     buffer — no O(n²) to_arrays/concat intermediates. *)
-  Array.iter add_float t.shape.Mat.data;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
-
-let deserialize text =
-  let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
-  let floats line =
-    String.split_on_char ' ' (String.trim line)
-    |> List.filter (fun s -> s <> "")
-    |> List.map float_of_string_opt
-  in
-  (* Error messages carry the 1-based line number and, for float rows,
-     the 1-based field index of the first offender, so a corrupt
-     snapshot report names exactly where the damage is. *)
-  let parse_row ~line_no ~what line =
-    let parts = floats line in
-    match
-      List.find_index Option.is_none parts
-    with
-    | Some i ->
-        fail "line %d (%s): malformed float literal at field %d" line_no what
-          (i + 1)
-    | None ->
-        (* NaN slips through [make]'s symmetry and positive-diagonal
-           checks (every NaN comparison is false), so finiteness must
-           be rejected here. *)
-        let a = Array.of_list (List.map Option.get parts) in
-        (match Array.find_index (fun v -> not (Float.is_finite v)) a with
-        | Some i ->
-            fail "line %d (%s): non-finite entry at field %d" line_no what
-              (i + 1)
-        | None -> Ok a)
-  in
-  let build ~dim ~scale ~center:(center_no, center_line)
-      ~shape:(shape_no, shape_line) =
-    match parse_row ~line_no:center_no ~what:"center" center_line with
-    | Error _ as e -> e
-    | Ok center -> (
-        match parse_row ~line_no:shape_no ~what:"shape" shape_line with
-        | Error _ as e -> e
-        | Ok flat ->
-            if Array.length center <> dim then
-              fail "line %d (center): %d entries where the dimension says %d"
-                center_no (Array.length center) dim
-            else if Array.length flat <> dim * dim then
-              fail "line %d (shape): %d entries where the dimension says %d"
-                shape_no (Array.length flat) (dim * dim)
-            else
-              let shape = Mat.init dim dim (fun i j -> flat.((i * dim) + j)) in
-              (match make ~center ~shape with
-              | e -> Ok { e with scale }
-              | exception Invalid_argument msg ->
-                  fail "line %d (shape): %s" shape_no msg))
-  in
-  match String.split_on_char '\n' text with
-  | header :: dim_line :: rest -> (
-      let version =
-        match String.trim header with
-        | "ellipsoid/1" -> Some 1
-        | "ellipsoid/2" -> Some 2
-        | _ -> None
-      in
-      match version with
-      | None -> fail "line 1: unknown header (want ellipsoid/1 or ellipsoid/2)"
-      | Some version -> (
-          match int_of_string_opt (String.trim dim_line) with
-          | None -> fail "line 2: malformed dimension"
-          | Some dim when dim < 1 -> fail "line 2: non-positive dimension"
-          | Some dim -> (
-              match (version, rest) with
-              | 1, center_line :: shape_line :: _ ->
-                  build ~dim ~scale:1. ~center:(3, center_line)
-                    ~shape:(4, shape_line)
-              | 2, scale_line :: center_line :: shape_line :: _ -> (
-                  match float_of_string_opt (String.trim scale_line) with
-                  | Some s when Float.is_finite s && s > 0. ->
-                      build ~dim ~scale:s ~center:(4, center_line)
-                        ~shape:(5, shape_line)
-                  | Some _ -> fail "line 3: non-finite or non-positive scale"
-                  | None -> fail "line 3: malformed scale")
-              | 1, _ -> fail "truncated snapshot (4 lines expected)"
-              | _ -> fail "truncated snapshot (5 lines expected)")))
-  | _ -> fail "truncated snapshot (header and dimension lines expected)"
-
 let binary_magic = "dm-ell/3"
 
 let serialize_binary t =
@@ -431,10 +328,6 @@ let serialize_binary t =
   Array.iter (Serial.add_f64 buf) t.shape.Mat.data;
   Buffer.contents buf
 
-(* A u32 dimension larger than this would overflow [dim * dim * 8]
-   allocations; no real snapshot comes close. *)
-let max_binary_dim = 1 lsl 20
-
 let deserialize_binary ?(pos = 0) s =
   let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
   let r = Serial.reader ~pos s in
@@ -445,7 +338,7 @@ let deserialize_binary ?(pos = 0) s =
       let at = r.Serial.pos in
       let dim = Serial.take_u32 r in
       if dim < 1 then fail "byte %d: non-positive dimension" at
-      else if dim > max_binary_dim then fail "byte %d: implausible dimension" at
+      else if dim > Serial.max_dim then fail "byte %d: implausible dimension" at
       else
         let at = r.Serial.pos in
         let scale = Serial.take_f64 r in
@@ -455,10 +348,14 @@ let deserialize_binary ?(pos = 0) s =
           let cuts_since_sync = Serial.take_u32 r in
           let at = r.Serial.pos in
           let log_vol = Serial.take_f64 r in
-          if Float.is_finite log_vol || Float.is_nan log_vol then
+          if Float.is_finite log_vol || Float.is_nan log_vol then begin
+            (* Both rows must fit before either is allocated: a forged
+               dimension must not cost O(dim²) memory to refute. *)
+            if Serial.remaining r < 8 * dim * (dim + 1) then
+              raise (Serial.Short r.Serial.pos);
             let read_row ~what n =
               let off = r.Serial.pos in
-              let a = Array.init n (fun _ -> Serial.take_f64 r) in
+              let a = Serial.take_f64s r n in
               match Array.find_index (fun v -> not (Float.is_finite v)) a with
               | Some i ->
                   Error
@@ -483,6 +380,7 @@ let deserialize_binary ?(pos = 0) s =
                         Ok { e with scale }
                     | exception Invalid_argument msg ->
                         fail "byte %d (shape): %s" shape_off msg))
+          end
           else fail "byte %d: infinite log-volume cache" at
   with Serial.Short off -> fail "truncated at byte %d" off
 

@@ -180,42 +180,26 @@ val axis_widths : t -> Dm_linalg.Vec.t
 (** The semi-axis widths [√γᵢ(A)] in decreasing order (Jacobi
     eigendecomposition; analysis only). *)
 
-val serialize : t -> string
-(** Text snapshot (hexadecimal float literals, so the round-trip is
-    exact bit-for-bit).  Stable format, versioned header: an
-    ellipsoid with [scale = 1.] emits the original ["ellipsoid/1"]
-    layout byte-for-byte; a pending sparse-path scalar upgrades the
-    snapshot to ["ellipsoid/2"], which inserts one extra scale line
-    after the dimension. *)
-
-val deserialize : string -> (t, string) result
-(** Inverse of {!serialize}; accepts both snapshot versions.  [Error]
-    describes the first problem found (bad header, wrong counts,
-    malformed, non-finite or non-positive scale, malformed or
-    non-finite numbers, asymmetric or non-positive shape) and names
-    the offending line — and, for float rows, the field index — so
-    corrupt-snapshot reports are actionable.  NaN and infinite
-    entries are rejected explicitly — NaN would otherwise slip
-    through the symmetry and positive-diagonal checks. *)
-
 val binary_magic : string
 (** The 8-byte magic (["dm-ell/3"]) opening a binary snapshot. *)
 
 val serialize_binary : t -> string
-(** Compact binary (v3) snapshot: {!binary_magic}, then
-    little-endian [dim], [scale], [cuts_since_sync], the raw
-    [log_vol] bit pattern, and the center and flat row-major shape as
-    IEEE-754 bit patterns ({!Dm_linalg.Serial}).  Unlike the text
-    formats it also preserves [scale = 1.] vs. v2 upgrades uniformly
-    and the incremental-volume cache state, so a binary round-trip
-    reproduces the ellipsoid record field-for-field. *)
+(** The ellipsoid's only snapshot format: {!binary_magic}, then
+    little-endian [dim] (u32), [scale] (f64), [cuts_since_sync] (u32),
+    the raw [log_vol] bit pattern, and the center and flat row-major
+    shape as IEEE-754 bit patterns ({!Dm_linalg.Serial}).  A round-trip
+    reproduces the ellipsoid record field-for-field, pending scalar and
+    incremental-volume cache included. *)
 
 val deserialize_binary : ?pos:int -> string -> (t, string) result
 (** Inverse of {!serialize_binary}, starting at byte [pos]
     (default 0); trailing bytes are ignored.  [Error] messages carry
-    the absolute byte offset of the first problem.  Validation
-    matches {!deserialize} (finite entries, positive scale, [make]'s
-    symmetry and diagonal checks); the log-volume field may be NaN
-    (the "cache unset" sentinel) but not infinite. *)
+    the absolute byte offset of the first problem: bad magic, a
+    dimension of 0 or above {!Dm_linalg.Serial.max_dim}, a non-finite or
+    non-positive scale, an infinite log-volume field (NaN is the
+    "cache unset" sentinel), too few bytes for the rows the dimension
+    announces (checked before any row is allocated), a NaN or infinite
+    entry, or a shape that fails [make]'s symmetry and diagonal
+    checks. *)
 
 val pp : Format.formatter -> t -> unit

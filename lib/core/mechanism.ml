@@ -548,62 +548,22 @@ let conservative_rounds t = t.conservative
 
 let skipped_rounds t = t.skipped
 
-let state_line t =
-  Printf.sprintf "%b %h %b %h %d %d %d" t.cfg.variant.use_reserve
-    t.cfg.variant.delta t.cfg.allow_conservative_cuts t.cfg.epsilon
-    t.exploratory t.conservative t.skipped
+let binary_magic = "dm-mech6"
 
-let snapshot t =
-  match (t.robust, t.proj) with
-  | Some rs, _ ->
-      (* v3 inserts the robust block between the state line and the
-         ellipsoid: configuration, then the live drift-detector state
-         (the contradiction bitmask prints as a decimal int). *)
-      Printf.sprintf "mechanism/3\n%s\nrobust %d %d %d %h %d %d %d %d %h %d\n%s"
-        (state_line t) rs.rcfg.explore_every rs.rcfg.drift_window
-        rs.rcfg.drift_trigger rs.rcfg.reinflate_radius rs.since_explore
-        rs.recent rs.filled rs.probe_streak rs.shade rs.restarts
-        (Ellipsoid.serialize t.ell)
-  | None, None ->
-      Printf.sprintf "mechanism/1\n%s\n%s" (state_line t)
-        (Ellipsoid.serialize t.ell)
-  | None, Some (p, err) ->
-      (* v2 inserts the projection block between the state line and the
-         ellipsoid: one "proj k n err" line, then the row-major entries
-         as hex float literals on one line (exact round-trip). *)
-      let rows = Dm_linalg.Mat.rows p and cols = Dm_linalg.Mat.cols p in
-      let buf = Buffer.create (64 + (24 * rows * cols)) in
-      Buffer.add_string buf "mechanism/2\n";
-      Buffer.add_string buf (state_line t);
-      Printf.bprintf buf "\nproj %d %d %h\n" rows cols err;
-      Array.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ' ';
-          Printf.bprintf buf "%h" v)
-        p.Dm_linalg.Mat.data;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (Ellipsoid.serialize t.ell);
-      Buffer.contents buf
+(* Section-flag bits after the magic; [create_robust] has no projected
+   form, so no constructor sets both. *)
+let section_projection = 1
 
-let binary_magic = "dm-mech3"
-
-let binary_magic_v4 = "dm-mech4"
-
-let binary_magic_v5 = "dm-mech5"
-
-(* Same ceiling as the binary ellipsoid codec: a forged dimension must
-   not trigger a huge allocation before the length check. *)
-let max_proj_dim = 1 lsl 20
+let section_robust = 2
 
 let snapshot_binary t =
   let buf =
     Buffer.create (64 + (8 * Ellipsoid.dim t.ell * (Ellipsoid.dim t.ell + 1)))
   in
-  Buffer.add_string buf
-    (match (t.robust, t.proj) with
-    | Some _, _ -> binary_magic_v5
-    | None, None -> binary_magic
-    | None, Some _ -> binary_magic_v4);
+  Buffer.add_string buf binary_magic;
+  Serial.add_u8 buf
+    ((if t.proj = None then 0 else section_projection)
+    lor if t.robust = None then 0 else section_robust);
   Serial.add_u8 buf (Bool.to_int t.cfg.variant.use_reserve);
   Serial.add_f64 buf t.cfg.variant.delta;
   Serial.add_u8 buf (Bool.to_int t.cfg.allow_conservative_cuts);
@@ -635,16 +595,10 @@ let snapshot_binary t =
   Buffer.add_string buf (Ellipsoid.serialize_binary t.ell);
   Buffer.contents buf
 
-(* Every [restore] error is prefixed "Mechanism.restore: " and names
-   the offending line (text format) or absolute byte offset (binary),
-   so corrupt-snapshot reports surfaced by crash recovery are
-   actionable without hexdumping the file. *)
-let fail fmt = Printf.ksprintf (fun m -> Error ("Mechanism.restore: " ^ m)) fmt
-
 exception Restore_failure of string
 
-(* Shared robust-block validation for both snapshot formats; the error
-   message is unprefixed so each caller can name the location. *)
+(* Robust-block validation; the message is unprefixed so the caller
+   can add the byte offset. *)
 let robust_state_of_fields ~explore_every ~drift_window ~drift_trigger
     ~reinflate_radius ~since_explore ~recent ~filled ~probe_streak ~shade
     ~restarts =
@@ -654,60 +608,31 @@ let robust_state_of_fields ~explore_every ~drift_window ~drift_trigger
   with
   | exception Invalid_argument msg -> Error msg
   | rcfg ->
-      if since_explore < 0 then Error "negative since_explore"
-      else if recent < 0 || recent land lnot ((1 lsl drift_window) - 1) <> 0
-      then Error "contradiction bits outside the drift window"
-      else if filled < 0 || filled > drift_window then
+      if recent land lnot ((1 lsl drift_window) - 1) <> 0 then
+        Error "contradiction bits outside the drift window"
+      else if filled > drift_window then
         Error "window fill outside [0, drift_window]"
-      else if probe_streak < 0 || probe_streak >= probe_streak_trigger then
+      else if probe_streak >= probe_streak_trigger then
         Error "probe streak outside [0, probe_streak_trigger)"
       else if not (Float.is_finite shade) || shade < 0. then
         Error "shade must be finite and non-negative"
-      else if restarts < 0 then Error "negative restart counter"
       else
         Ok { rcfg; since_explore; recent; filled; probe_streak; shade; restarts }
 
-(* Shared final assembly: validate the config, match the projection
-   rank against the ellipsoid dimension, build the mechanism. *)
-let assemble ~use_reserve ~delta ~allow ~sparse_cuts ~epsilon ~proj ~robust ~ell
-    ~exploratory ~conservative ~skipped =
-  match proj with
-  | Some (p, _) when Ellipsoid.dim ell <> Dm_linalg.Mat.rows p ->
-      fail "ellipsoid dim %d does not match projection rank %d"
-        (Ellipsoid.dim ell) (Dm_linalg.Mat.rows p)
-  | _ -> (
-      match
-        config ~allow_conservative_cuts:allow ?sparse_cuts
-          ~variant:{ use_reserve; delta } ~epsilon ()
-      with
-      | exception Invalid_argument msg -> fail "%s" msg
-      | cfg ->
-          let d = Ellipsoid.dim ell in
-          Ok
-            {
-              cfg;
-              robust;
-              proj;
-              ell;
-              exploratory;
-              conservative;
-              skipped;
-              spare = None;
-              spare_center = None;
-              exposed = false;
-              u_buf =
-                (match proj with
-                | Some _ -> Dm_linalg.Vec.zeros d
-                | None -> no_memo);
-              b_buf = Dm_linalg.Vec.zeros d;
-              neg_buf = Dm_linalg.Vec.zeros d;
-              memo_x = no_memo;
-              memo_u = no_memo;
-            })
-
-let restore_binary ~projected ~robust text =
+(* Every [restore] error is prefixed "Mechanism.restore: " and names
+   the absolute byte offset of the offending field, so corrupt-snapshot
+   reports surfaced by crash recovery are actionable without
+   hexdumping the file. *)
+let restore s =
   let failf fmt = Printf.ksprintf (fun m -> raise (Restore_failure m)) fmt in
-  let r = Serial.reader ~pos:(String.length binary_magic) text in
+  let r = Serial.reader s in
+  (* Runs a validating constructor over the fields read from byte
+     [off] on, turning its [Invalid_argument] into an offset. *)
+  let checked off f =
+    match f () with
+    | v -> v
+    | exception Invalid_argument msg -> failf "byte %d: %s" off msg
+  in
   let flag what =
     let off = r.Serial.pos in
     match Serial.take_u8 r with
@@ -715,29 +640,54 @@ let restore_binary ~projected ~robust text =
     | 1 -> true
     | b -> failf "byte %d: bad %s flag (%d)" off what b
   in
+  (* [take_u64] refuses a value past [max_int] without moving the
+     cursor; with 8 bytes left that is a negative count, not a
+     truncation. *)
+  let count what =
+    let off = r.Serial.pos in
+    match Serial.take_u64 r with
+    | n -> n
+    | exception Serial.Short _ when Serial.remaining r >= 8 ->
+        failf "byte %d: negative %s" off what
+  in
   try
+    if not (Serial.expect r binary_magic) then
+      failf "byte 0: bad magic (want %s)" binary_magic;
+    let flags_off = r.Serial.pos in
+    let sections = Serial.take_u8 r in
+    if sections land lnot (section_projection lor section_robust) <> 0
+       || sections = section_projection lor section_robust
+    then failf "byte %d: bad section flags (%d)" flags_off sections;
     let use_reserve = flag "use_reserve" in
+    let delta_off = r.Serial.pos in
     let delta = Serial.take_f64 r in
+    checked delta_off (fun () -> check_delta delta);
     let allow = flag "allow_conservative_cuts" in
     let sparse_cuts = flag "sparse_cuts" in
+    let epsilon_off = r.Serial.pos in
     let epsilon = Serial.take_f64 r in
-    let exploratory = Serial.take_u64 r in
-    let conservative = Serial.take_u64 r in
-    let skipped = Serial.take_u64 r in
+    let cfg =
+      checked epsilon_off (fun () ->
+          config ~allow_conservative_cuts:allow ~sparse_cuts
+            ~variant:{ use_reserve; delta } ~epsilon ())
+    in
+    let exploratory = count "exploratory counter" in
+    let conservative = count "conservative counter" in
+    let skipped = count "skipped counter" in
     let robust =
-      if not robust then None
+      if sections land section_robust = 0 then None
       else begin
         let off = r.Serial.pos in
         let explore_every = Serial.take_u32 r in
         let drift_window = Serial.take_u32 r in
         let drift_trigger = Serial.take_u32 r in
         let reinflate_radius = Serial.take_f64 r in
-        let since_explore = Serial.take_u64 r in
-        let recent = Serial.take_u64 r in
+        let since_explore = count "since_explore counter" in
+        let recent = count "contradiction bitmask" in
         let filled = Serial.take_u32 r in
         let probe_streak = Serial.take_u32 r in
         let shade = Serial.take_f64 r in
-        let restarts = Serial.take_u64 r in
+        let restarts = count "restart counter" in
         match
           robust_state_of_fields ~explore_every ~drift_window ~drift_trigger
             ~reinflate_radius ~since_explore ~recent ~filled ~probe_streak
@@ -748,184 +698,44 @@ let restore_binary ~projected ~robust text =
       end
     in
     let proj =
-      if not projected then None
+      if sections land section_projection = 0 then None
       else begin
         let off = r.Serial.pos in
         let rows = Serial.take_u32 r in
         let cols = Serial.take_u32 r in
-        if rows < 1 || rows > max_proj_dim then
+        if rows < 1 || rows > Serial.max_dim then
           failf "byte %d: bad projection rank (%d)" off rows;
-        if cols < 1 || cols > max_proj_dim then
-          failf "byte %d: bad projection dim (%d)" off cols;
+        if cols < 1 || cols > Serial.max_dim then
+          failf "byte %d: bad projection dim (%d)" (off + 4) cols;
         let erroff = r.Serial.pos in
         let err = Serial.take_f64 r in
-        if not (err >= 0.) || err = infinity then
-          failf "byte %d: projection error bound must be finite and \
-                 non-negative"
-            erroff;
-        if Serial.remaining r < 8 * rows * cols then
-          raise (Serial.Short r.Serial.pos);
+        checked erroff (fun () -> check_err err);
         let dataoff = r.Serial.pos in
-        (* [Mat.init] fills row-major ascending, matching the writer. *)
-        let p = Dm_linalg.Mat.init rows cols (fun _ _ -> Serial.take_f64 r) in
-        if not (Array.for_all Float.is_finite p.Dm_linalg.Mat.data) then
-          failf "byte %d: non-finite projection entry" dataoff;
-        Some (p, err)
+        let data = Serial.take_f64s r (rows * cols) in
+        (match Array.find_index (fun v -> not (Float.is_finite v)) data with
+        | Some i ->
+            failf "byte %d: non-finite projection entry" (dataoff + (8 * i))
+        | None -> ());
+        let entry i j = data.((i * cols) + j) in
+        Some (Dm_linalg.Mat.init rows cols entry, err)
       end
     in
-    match Ellipsoid.deserialize_binary ~pos:r.Serial.pos text with
-    | Error msg -> fail "ellipsoid: %s" msg
+    let ell_off = r.Serial.pos in
+    match Ellipsoid.deserialize_binary ~pos:ell_off s with
+    | Error msg -> failf "ellipsoid: %s" msg
     | Ok ell ->
-        assemble ~use_reserve ~delta ~allow ~sparse_cuts:(Some sparse_cuts)
-          ~epsilon ~proj ~robust ~ell ~exploratory ~conservative ~skipped
+        let t =
+          match proj with
+          | None -> create cfg ell
+          | Some (projection, err) ->
+              checked ell_off (fun () ->
+                  create_projected cfg ~projection ~err ell)
+        in
+        Ok { t with robust; exploratory; conservative; skipped }
   with
   | Restore_failure m -> Error ("Mechanism.restore: " ^ m)
-  | Serial.Short off -> fail "truncated at byte %d" off
-
-let cut_line s =
-  match String.index_opt s '\n' with
-  | None -> None
-  | Some i -> Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-
-(* "proj k n err" plus one line of k·n hex float literals. *)
-let parse_text_projection rest =
-  match cut_line rest with
-  | None -> fail "line 3: truncated projection header"
-  | Some (header, rest) -> (
-      match
-        Scanf.sscanf header "proj %d %d %h" (fun k n err -> (k, n, err))
-      with
-      | exception Scanf.Scan_failure msg ->
-          fail "line 3: bad projection header: %s" msg
-      | exception Failure msg -> fail "line 3: bad projection header: %s" msg
-      | exception End_of_file -> fail "line 3: bad projection header"
-      | k, n, err -> (
-          if k < 1 || k > max_proj_dim then
-            fail "line 3: bad projection rank (%d)" k
-          else if n < 1 || n > max_proj_dim then
-            fail "line 3: bad projection dim (%d)" n
-          else if not (err >= 0.) || err = infinity then
-            fail
-              "line 3: projection error bound must be finite and non-negative"
-          else
-            match cut_line rest with
-            | None -> fail "line 4: truncated projection entries"
-            | Some (entries, rest) -> (
-                let fields =
-                  String.split_on_char ' ' entries
-                  |> List.filter (fun s -> s <> "")
-                in
-                if List.length fields <> k * n then
-                  fail "line 4: want %d projection entries, got %d" (k * n)
-                    (List.length fields)
-                else
-                  match
-                    List.map
-                      (fun s ->
-                        match float_of_string_opt s with
-                        | Some v when Float.is_finite v -> v
-                        | _ -> raise (Restore_failure "line 4: bad entry"))
-                      fields
-                  with
-                  | exception Restore_failure m -> fail "%s" m
-                  | values ->
-                      let a = Array.of_list values in
-                      let p =
-                        Dm_linalg.Mat.init k n (fun i j -> a.((i * n) + j))
-                      in
-                      Ok ((p, err), rest))))
-
-(* "robust ee dw dt rr se recent filled probes shade restarts" —
-   configuration plus live drift-detector state on one line. *)
-let parse_text_robust rest =
-  match cut_line rest with
-  | None -> fail "line 3: truncated robust line"
-  | Some (line, rest) -> (
-      match
-        Scanf.sscanf line "robust %d %d %d %h %d %d %d %d %h %d"
-          (fun ee dw dt rr se rc fl ps sh rst ->
-            (ee, dw, dt, rr, se, rc, fl, ps, sh, rst))
-      with
-      | exception Scanf.Scan_failure msg -> fail "line 3: bad robust line: %s" msg
-      | exception Failure msg -> fail "line 3: bad robust line: %s" msg
-      | exception End_of_file -> fail "line 3: bad robust line"
-      | ee, dw, dt, rr, se, rc, fl, ps, sh, rst -> (
-          match
-            robust_state_of_fields ~explore_every:ee ~drift_window:dw
-              ~drift_trigger:dt ~reinflate_radius:rr ~since_explore:se
-              ~recent:rc ~filled:fl ~probe_streak:ps ~shade:sh ~restarts:rst
-          with
-          | Error msg -> fail "line 3: %s" msg
-          | Ok rs -> Ok (rs, rest)))
-
-let restore_text text =
-  match cut_line text with
-  | None -> fail "line 1: truncated snapshot"
-  | Some (header, rest) -> (
-      let version =
-        match header with
-        | "mechanism/1" -> Some 1
-        | "mechanism/2" -> Some 2
-        | "mechanism/3" -> Some 3
-        | _ -> None
-      in
-      match version with
-      | None ->
-          fail "line 1: unknown header (want mechanism/1, mechanism/2 or \
-                mechanism/3)"
-      | Some version -> (
-          match cut_line rest with
-          | None -> fail "line 2: truncated snapshot"
-          | Some (state_line, rest) -> (
-              match
-                Scanf.sscanf state_line "%B %h %B %h %d %d %d"
-                  (fun use_reserve delta allow epsilon e c s ->
-                    (use_reserve, delta, allow, epsilon, e, c, s))
-              with
-              | exception Scanf.Scan_failure msg ->
-                  fail "line 2: bad state line: %s" msg
-              | exception Failure msg -> fail "line 2: bad state line: %s" msg
-              | _, _, _, _, e, _, _ when e < 0 ->
-                  fail "line 2: negative exploratory counter (field 5)"
-              | _, _, _, _, _, c, _ when c < 0 ->
-                  fail "line 2: negative conservative counter (field 6)"
-              | _, _, _, _, _, _, s when s < 0 ->
-                  fail "line 2: negative skipped counter (field 7)"
-              | use_reserve, delta, allow, epsilon, e, c, s -> (
-                  let sections =
-                    match version with
-                    | 1 -> Ok (None, None, rest)
-                    | 2 -> (
-                        match parse_text_projection rest with
-                        | Error msg -> Error msg
-                        | Ok (pe, rest) -> Ok (Some pe, None, rest))
-                    | _ -> (
-                        match parse_text_robust rest with
-                        | Error msg -> Error msg
-                        | Ok (rs, rest) -> Ok (None, Some rs, rest))
-                  in
-                  match sections with
-                  | Error msg -> Error msg
-                  | Ok (proj, robust, ell_text) -> (
-                      match Ellipsoid.deserialize ell_text with
-                      | Error msg -> fail "ellipsoid section: %s" msg
-                      | Ok ell ->
-                          assemble ~use_reserve ~delta ~allow ~sparse_cuts:None
-                            ~epsilon ~proj ~robust ~ell ~exploratory:e
-                            ~conservative:c ~skipped:s)))))
-
-let restore text =
-  let starts_with magic =
-    let m = String.length magic in
-    String.length text >= m && String.sub text 0 m = magic
-  in
-  if starts_with binary_magic then
-    restore_binary ~projected:false ~robust:false text
-  else if starts_with binary_magic_v4 then
-    restore_binary ~projected:true ~robust:false text
-  else if starts_with binary_magic_v5 then
-    restore_binary ~projected:false ~robust:true text
-  else restore_text text
+  | Serial.Short off ->
+      Error (Printf.sprintf "Mechanism.restore: truncated at byte %d" off)
 
 let te_upper_bound ~radius ~feature_bound ~dim ~epsilon =
   if radius <= 0. || feature_bound <= 0. || dim < 1 || epsilon <= 0. then

@@ -298,52 +298,39 @@ val te_upper_bound : radius:float -> feature_bound:float -> dim:int -> epsilon:f
 (** The Lemma 6/7 bound [20n²·log(20·R·S²·(n+1)/ε)] on exploratory
     rounds. *)
 
-val snapshot : t -> string
-(** Text snapshot of the full mechanism state — configuration,
-    counters and knowledge set — exact across a round-trip, so a
-    broker process can restart mid-stream without losing what it
-    learned.  A dense mechanism emits the original ["mechanism/1"]
-    layout byte-for-byte; a projected one upgrades to ["mechanism/2"],
-    which inserts a ["proj k n err"] line and one line of row-major
-    hex-float projection entries between the state line and the
-    ellipsoid; a robust one upgrades to ["mechanism/3"], which instead
-    inserts one ["robust ..."] line carrying the {!robust_config} and
-    the live drift-detector state. *)
-
 val binary_magic : string
-(** The 8-byte magic (["dm-mech3"]) opening a dense binary snapshot. *)
-
-val binary_magic_v4 : string
-(** The 8-byte magic (["dm-mech4"]) opening a projected binary
-    snapshot: the v3 layout with [k], [n] (u32 each), the error bound
-    and the row-major projection entries inserted between the counters
-    and the ellipsoid. *)
-
-val binary_magic_v5 : string
-(** The 8-byte magic (["dm-mech5"]) opening a robust binary snapshot:
-    the v3 layout with the {!robust_config} fields and the live
-    drift-detector state inserted between the counters and the
-    ellipsoid. *)
+(** The 8-byte magic (["dm-mech6"]) opening every mechanism snapshot. *)
 
 val snapshot_binary : t -> string
-(** Compact binary snapshot: {!binary_magic} (dense) or
-    {!binary_magic_v4} (projected), the configuration and counters as
-    little-endian fields, the projection block when projected, then
-    the ellipsoid's {!Ellipsoid.serialize_binary} image.  Unlike the
-    text format it records [sparse_cuts] and the ellipsoid's
-    scalar/volume-cache state, so a round-trip reproduces the
-    mechanism field-for-field — this is what the [Dm_store] snapshot
-    files hold.  Dense mechanisms emit the v3 bytes unchanged. *)
+(** The mechanism's only snapshot format, exact across a round-trip,
+    so a broker process can restart mid-stream without losing what it
+    learned — this is what the [Dm_store] snapshot files hold.  Layout,
+    little-endian: {!binary_magic}; a section-flags byte (bit 0: a
+    projection block follows, bit 1: a robust block follows; never
+    both, as {!create_robust} has no projected form); [use_reserve]
+    (u8), [delta] (f64), [allow_conservative_cuts] and [sparse_cuts]
+    (u8 each), [epsilon] (f64) and the three round counters (u64); the
+    robust block when flagged ({!robust_config} fields, then the live
+    drift-detector state); the projection block when flagged ([k] and
+    [n] as u32, the error bound, the row-major entries); then the
+    ellipsoid's {!Ellipsoid.serialize_binary} image.  A restored
+    mechanism matches the original field-for-field, including
+    [sparse_cuts] and the ellipsoid's scalar and volume-cache state. *)
 
 val restore : string -> (t, string) result
-(** Inverse of {!snapshot} and {!snapshot_binary} — the format is
-    sniffed from the leading magic.  [Error] on any malformed input,
-    including non-finite floats (NaN ε/δ, projection entries or
-    ellipsoid entries), a NaN/infinite/negative projection error
-    bound, a projection rank that disagrees with the ellipsoid
-    dimension, and negative round counters — a corrupted snapshot
-    never yields a mechanism that misprices silently.  Messages are
-    prefixed ["Mechanism.restore: "] and name the offending line and
-    field (text) or byte offset (binary).  The text format predates
-    [sparse_cuts], which it does not record; text-restored mechanisms
-    get the default ([true]). *)
+(** Inverse of {!snapshot_binary}.  [Error] on any malformed input —
+    a corrupted snapshot never yields a mechanism that misprices
+    silently.  Refused: a bad magic or truncation; section flags no
+    constructor writes (unknown bits, or projection and robust
+    together); a flag byte other than 0 or 1; NaN or infinite [delta]
+    or [epsilon] and a non-positive [epsilon]; a counter past
+    [max_int] (negative once read as an OCaml [int]); robust fields
+    {!robust_config} would reject, window state outside the window, or
+    a NaN or negative shade; a projection rank or dimension of 0 or
+    above {!Dm_linalg.Serial.max_dim}, a NaN, infinite or negative
+    error bound, non-finite entries, or a rank that disagrees with the
+    ellipsoid dimension; and every {!Ellipsoid.deserialize_binary}
+    error.  Messages are prefixed ["Mechanism.restore: "] and name the
+    absolute byte offset of the offending field.  Allocation is
+    bounded by a small multiple of the input size: every block length
+    is checked against the bytes left before it is allocated. *)

@@ -13,10 +13,6 @@ let add_u64 b v =
 
 let add_f64 b v = Buffer.add_int64_le b (Int64.bits_of_float v)
 
-let add_f64s b a =
-  add_u32 b (Array.length a);
-  Array.iter (add_f64 b) a
-
 type reader = { src : string; mutable pos : int }
 
 exception Short of int
@@ -56,11 +52,12 @@ let take_f64 r =
   r.pos <- r.pos + 8;
   v
 
-let take_f64s r =
-  let start = r.pos in
-  let n = take_u32 r in
-  if n * 8 > remaining r then raise (Short start);
+let take_f64s r n =
+  if n < 0 then invalid_arg "Serial.take_f64s: negative count";
+  need r (8 * n);
   Array.init n (fun _ -> take_f64 r)
+
+let max_dim = 1 lsl 20
 
 let take_bytes r len =
   if len < 0 then invalid_arg "Serial.take_bytes: negative length";

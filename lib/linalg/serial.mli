@@ -1,6 +1,6 @@
 (** Little-endian binary serialization helpers.
 
-    Shared by the binary (v3) ellipsoid/mechanism snapshots in
+    Shared by the ellipsoid and mechanism snapshots in
     [Dm_market] and the journal codec in [Dm_store]: writers append to
     a [Buffer.t], the reader is a mutable cursor over an immutable
     string.  Floats travel as their IEEE-754 bit patterns
@@ -20,9 +20,6 @@ val add_u64 : Buffer.t -> int -> unit
 
 val add_f64 : Buffer.t -> float -> unit
 (** Append the 8-byte IEEE-754 bit pattern of a float. *)
-
-val add_f64s : Buffer.t -> float array -> unit
-(** Append a [u32] length followed by each element as [add_f64]. *)
 
 type reader = private { src : string; mutable pos : int }
 (** A cursor into [src]; every [take_*] advances [pos]. *)
@@ -50,9 +47,10 @@ val take_u64 : reader -> int
 
 val take_f64 : reader -> float
 
-val take_f64s : reader -> float array
-(** Inverse of {!add_f64s}; validates the length prefix against
-    [remaining] before allocating. *)
+val take_f64s : reader -> int -> float array
+(** The next [n] floats.  Checks [remaining] before allocating, so a
+    forged count fails with [Short] instead of a huge allocation.
+    Raises [Invalid_argument] on negative [n]. *)
 
 val take_bytes : reader -> int -> string
 (** The next [len] raw bytes.  Raises [Invalid_argument] on negative
@@ -61,3 +59,9 @@ val take_bytes : reader -> int -> string
 val expect : reader -> string -> bool
 (** Consume [String.length magic] bytes and report whether they equal
     [magic]; returns [false] (without raising) when too few remain. *)
+
+val max_dim : int
+(** Ceiling (2²⁰) on any dimension a decoder reads from untrusted
+    bytes — ellipsoid, projection and journal feature dimensions alike.
+    Every real state sits far below it, and it keeps [8·dim·(dim+1)]
+    byte counts and per-dimension allocations bounded. *)

@@ -160,7 +160,10 @@ let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
    solo and tenant-tagged decoders.  The sparse branch validates what
    the encoder guarantees — [nnz ≤ dim] and strictly increasing
    in-range indices — because a CRC-colliding corruption could
-   otherwise alias distinct coordinates or write out of range. *)
+   otherwise alias distinct coordinates or write out of range.  The
+   dimension is capped at [Serial.max_dim] and every array length is
+   checked against the bytes left before it is allocated, so a forged
+   count costs an [Error], not memory. *)
 let decode_body r =
   let t = Serial.take_u64 r in
   let kind_off = r.Serial.pos in
@@ -180,9 +183,11 @@ let decode_body r =
       let dim_off = r.Serial.pos in
       let dim = Serial.take_u32 r in
       if dim < 1 then fail "byte %d: non-positive dimension" dim_off
+      else if dim > Serial.max_dim then
+        fail "byte %d: implausible dimension" dim_off
       else
         let x =
-          if repr = 0 then Ok (Array.init dim (fun _ -> Serial.take_f64 r))
+          if repr = 0 then Ok (Serial.take_f64s r dim)
           else begin
             let nnz_off = r.Serial.pos in
             let nnz = Serial.take_u32 r in
@@ -191,6 +196,8 @@ let decode_body r =
                 dim
             else begin
               let idx_off = r.Serial.pos in
+              if Serial.remaining r < 12 * nnz then
+                raise (Serial.Short idx_off);
               let idx = Array.init nnz (fun _ -> Serial.take_u32 r) in
               let bad = ref (-1) in
               Array.iteri
@@ -205,7 +212,7 @@ let decode_body r =
                   (idx_off + (4 * !bad))
                   idx.(!bad) dim
               else begin
-                let value = Array.init nnz (fun _ -> Serial.take_f64 r) in
+                let value = Serial.take_f64s r nnz in
                 let x = Vec.zeros dim in
                 Array.iteri (fun k i -> x.(i) <- value.(k)) idx;
                 Ok x

@@ -42,8 +42,11 @@ val decode_event : string -> (Dm_market.Broker.event, string) result
     inconsistent sparse vector — duplicate, decreasing or
     out-of-range indices, or a count above the dimension — is
     refused the same way: a CRC collision must not alias
-    coordinates silently.  Only version-1 (untagged) payloads
-    decode here; tagged ones need {!decode_event_tagged}. *)
+    coordinates silently.  A dimension above
+    {!Dm_linalg.Serial.max_dim}, or one the remaining bytes cannot
+    hold, is refused before anything is allocated.  Only version-1
+    (untagged) payloads decode here; tagged ones need
+    {!decode_event_tagged}. *)
 
 val encode_event_tagged :
   tenant:int -> Dm_market.Broker.event -> string

@@ -23,3 +23,13 @@ let install_pool_from_env () =
           Dm_linalg.Pool.set_default (Some pool);
           at_exit (fun () -> Dm_linalg.Pool.shutdown pool)
       | _ -> ())
+
+(* The leading minor collection empties the young heap, so a small [f]
+   runs without a collection inside the window; one that does collect
+   skews the counters by up to a minor heap's worth of words. *)
+let allocated_words f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  let v = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (v, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))

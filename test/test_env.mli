@@ -13,3 +13,9 @@ val install_pool_from_env : unit -> unit
     (shut down at exit) so the suites exercise the same pooled code
     paths as the bench harness.  Unset, unparsable or ≤ 1 values leave
     the default pool uninstalled. *)
+
+val allocated_words : (unit -> 'a) -> 'a * float
+(** [allocated_words f] runs [f] after a minor collection and returns
+    its result with the heap words allocated meanwhile (minor plus
+    directly-major allocations, from [Gc.counters]) — the measure
+    behind the decoders' bounded-allocation tests. *)

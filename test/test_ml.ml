@@ -755,24 +755,34 @@ let test_ew_validation () =
   check_bool "bandit arm range" true (raises (fun () ->
       Exp_weights.update_bandit t ~arm:2 ~payoff:0.5))
 
+(* FTPL draws its perturbation once, so one run's regret is the gap
+   between the hallucinated head starts: exponential-tailed, and above
+   the tolerance for about 1.5% of seeds (152 of seeds 1..10000).  The
+   O(sqrt(T log K)) bound is on the expectation over that draw, so the
+   check is on the mean of [draws] independent perturbations (worst
+   mean regret over seeds 1..10000: 56, tolerance 76). *)
 let ftpl_props =
   [
     prop "full-information regret is O(sqrt T log K)" 10
       QCheck.(int_range 1 10_000)
       (fun seed ->
-        let arms = 5 and horizon = 400 in
+        let arms = 5 and horizon = 400 and draws = 8 in
         let payoffs = stationary_payoffs ~arms seed in
         let rate = Exp_weights.default_rate ~arms ~horizon in
-        let t =
-          Ftpl.create ~arms ~payoff_bound:1. ~rate ~rng:(Rng.create seed) ()
-        in
+        let root = Rng.create seed in
         let collected = ref 0. in
-        for _ = 1 to horizon do
-          collected := !collected +. payoffs.(Ftpl.choose t);
-          Ftpl.update t ~payoffs
+        for _ = 1 to draws do
+          let t =
+            Ftpl.create ~arms ~payoff_bound:1. ~rate ~rng:(Rng.split root) ()
+          in
+          for _ = 1 to horizon do
+            collected := !collected +. payoffs.(Ftpl.choose t);
+            Ftpl.update t ~payoffs
+          done
         done;
         let best = 0.9 *. float_of_int horizon in
-        !collected >= best -. regret_tolerance ~arms ~horizon);
+        !collected /. float_of_int draws
+        >= best -. regret_tolerance ~arms ~horizon);
     prop "frozen perturbation makes choose pure" 20
       QCheck.(int_range 1 10_000)
       (fun seed ->

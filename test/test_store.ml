@@ -303,12 +303,12 @@ let test_unknown_version_refused () =
   | Error m -> check_bool "v1 decoder refuses v2" true (contains m "version 2")
   | Ok _ -> Alcotest.fail "decode_event read a tagged payload"
 
-(* A hand-built version-1 payload with a sparse vector whose index
-   run we control.  Fixed prefix: version (1) + round (8) + kind (1)
-   + accepted (1) + four f64 fields (32) + posted=None flag (1) +
-   payment (8) + sparse-repr flag (1) + dim (4) put the nnz count at
-   byte 57 and the index run at byte 61. *)
-let sparse_payload ~dim ~idx =
+(* A hand-built version-1 payload whose feature encoding we control.
+   Fixed prefix: version (1) + round (8) + kind (1) + accepted (1) +
+   four f64 fields (32) + posted=None flag (1) + payment (8) + repr
+   flag (1) + dim (4); a sparse body then has the nnz count at byte 57
+   and the index run at byte 61. *)
+let payload ~repr ~dim body =
   let b = Buffer.create 128 in
   let f64 v = Buffer.add_int64_le b (Int64.bits_of_float v) in
   let u32 v = Buffer.add_int32_le b (Int32.of_int v) in
@@ -322,12 +322,19 @@ let sparse_payload ~dim ~idx =
   f64 1.5 (* upper *);
   Buffer.add_char b '\000' (* posted = None *);
   f64 0. (* payment *);
-  Buffer.add_char b '\001' (* sparse repr *);
+  Buffer.add_char b (Char.chr repr);
   u32 dim;
-  u32 (Array.length idx);
-  Array.iter u32 idx;
-  Array.iter (fun _ -> f64 1.0) idx;
+  body ~f64 ~u32;
   Buffer.contents b
+
+let sparse_payload ~dim ~idx =
+  payload ~repr:1 ~dim (fun ~f64 ~u32 ->
+      u32 (Array.length idx);
+      Array.iter u32 idx;
+      Array.iter (fun _ -> f64 1.0) idx)
+
+let dense_payload ~dim values =
+  payload ~repr:0 ~dim (fun ~f64 ~u32:_ -> Array.iter f64 values)
 
 let test_sparse_validation () =
   (* well-formed control: strictly increasing in-range indices *)
@@ -363,6 +370,28 @@ let test_sparse_validation () =
   match Journal.decode_event_tagged (sparse_payload ~dim:8 ~idx:[| 5; 2 |]) with
   | Ok _ -> Alcotest.fail "tagged decoder accepted unsorted indices"
   | Error m -> check_bool "tagged decoder refuses too" true (contains m "byte")
+
+(* A forged dimension must cost an [Error], not memory: a 65-byte
+   dense payload claiming 2^22 coordinates would otherwise allocate
+   32 MiB before running out of bytes, and a sparse one holds a single
+   entry yet names a dimension above the decoder ceiling. *)
+let test_forged_dimension_bounded () =
+  let bounded name payload =
+    let refused, words =
+      Test_env.allocated_words (fun () ->
+          Result.is_error (Journal.decode_event payload))
+    in
+    check_bool (name ^ " refused") true refused;
+    check_bool
+      (Printf.sprintf "%s allocates under 1 MiB (%.0f words)" name words)
+      true
+      (words < float_of_int (1 lsl 20 / 8))
+  in
+  bounded "dense dim 2^22" (dense_payload ~dim:(1 lsl 22) [| 1.0 |]);
+  bounded "dense dim at the ceiling"
+    (dense_payload ~dim:Dm_linalg.Serial.max_dim [| 1.0 |]);
+  bounded "sparse dim above the ceiling"
+    (sparse_payload ~dim:(Dm_linalg.Serial.max_dim + 1) ~idx:[| 0 |])
 
 let test_segment_start_boundary () =
   let big = 1_000_000_000_000 (* 10^12 widens past the %012d pad *) in
@@ -523,34 +552,12 @@ let test_snapshots_newest_skips_corrupt () =
         (String.equal b100 (Mechanism.snapshot_binary m))
   | _ -> Alcotest.fail "newest did not fall back to round 100"
 
-(* ------------------------------------------------------------------ *)
-(* Snapshot cross-format equivalence (text v1/v2 vs binary v3)         *)
-(* ------------------------------------------------------------------ *)
-
-(* Restore the same mechanism from its text and binary snapshots and
-   drive all three over 1000 further rounds of the same dense stream:
-   every posted price must match bit-for-bit.  (The text format does
-   not record [sparse_cuts], so the streams here are dense — the App-1
-   shape — where the flag cannot influence a price.) *)
-let cross_format ~dim ~variant_idx () =
-  let prefix = 200 and extra = 1000 in
-  let setup = Longrun.make_setup ~dim ~seed:(31 + dim) ~rounds:(prefix + extra) () in
-  let variant = snd (List.nth Longrun.variants variant_idx) in
-  let mech = Longrun.mechanism setup variant in
-  for t = 0 to prefix - 1 do ignore (drive setup mech t) done;
-  let m_text = ok_or_fail (Mechanism.restore (Mechanism.snapshot mech)) in
-  let m_bin = ok_or_fail (Mechanism.restore (Mechanism.snapshot_binary mech)) in
-  let run m = Array.init extra (fun i -> drive setup m (prefix + i)) in
-  let p0 = run mech in
-  let p_text = run m_text in
-  let p_bin = run m_bin in
-  check_bool "text restore prices bit-identical" true (p0 = p_text);
-  check_bool "binary restore prices bit-identical" true (p0 = p_bin)
-
 let test_restore_error_names_position () =
   match Mechanism.restore "dm-mechanism-snapshot v9000\nnonsense" with
   | Ok _ -> Alcotest.fail "garbage restored"
-  | Error m -> check_bool "prefixed" true (contains m "Mechanism.restore")
+  | Error m ->
+      check_bool "prefixed" true (contains m "Mechanism.restore");
+      check_bool "names the byte" true (contains m "byte 0")
 
 (* ------------------------------------------------------------------ *)
 (* Store: crash, recovery, compaction                                  *)
@@ -961,6 +968,8 @@ let () =
           Alcotest.test_case "torn tail tolerated" `Quick test_torn_tail_tolerated;
           Alcotest.test_case "pre-tail corruption refused" `Quick
             test_pretail_corruption_refused;
+          Alcotest.test_case "forged dimension allocates little" `Quick
+            test_forged_dimension_bounded;
         ] );
       ( "snapshots",
         [
@@ -968,14 +977,6 @@ let () =
             test_snapshots_newest_skips_corrupt;
           Alcotest.test_case "restore error names position" `Quick
             test_restore_error_names_position;
-          Alcotest.test_case "cross-format prices, n = 1" `Quick
-            (cross_format ~dim:1 ~variant_idx:0);
-          Alcotest.test_case "cross-format prices, n = 2" `Quick
-            (cross_format ~dim:2 ~variant_idx:1);
-          Alcotest.test_case "cross-format prices, n = 8" `Quick
-            (cross_format ~dim:8 ~variant_idx:2);
-          Alcotest.test_case "cross-format prices, n = 128" `Slow
-            (cross_format ~dim:128 ~variant_idx:3);
         ] );
       ( "store",
         [
